@@ -12,12 +12,10 @@
  * Series 2 (mixes): per-mix throughput at 4 shards across the YCSB-
  * style presets, plus the batched-put path vs single puts.
  *
- * Series 3 (commit-mode A/B): the mixed scenario — 90% single-key ops
- * / 10% cross-shard writing multiOps — run once with the legacy
- * exclusive-latch commit and once with the 2PC-over-TM commit. The
- * headline number is single-key throughput: under latches every
- * cross-shard writer freezes its shards; under 2PC single-key traffic
- * flows through the commit. Results (throughput + latency
+ * Series 3 (mixed): the mixed scenario — 90% single-key ops / 10%
+ * cross-shard writing multiOps committed through 2PC over TM. The
+ * headline number is single-key throughput, which keeps flowing
+ * through the cross-shard commits. Results (throughput + latency
  * percentiles) are also written to BENCH_kvstore.json so CI can track
  * the trajectory.
  *
@@ -100,7 +98,6 @@
 #include "kvstore/traffic.hpp"
 
 using namespace proteus;
-using kvstore::CommitMode;
 using kvstore::Durability;
 using kvstore::KvOp;
 using kvstore::KvStore;
@@ -150,50 +147,6 @@ struct MixedResult
     PhaseLatency latency;
 };
 
-MixedResult
-runMixed(CommitMode mode, double seconds)
-{
-    KvStoreOptions store_options;
-    store_options.numShards = 4;
-    store_options.log2SlotsPerShard = 16;
-    store_options.initial = {tm::BackendKind::kTl2, 16, {}};
-    store_options.commitMode = mode;
-    KvStore store(store_options);
-
-    // Phase 0 is warmup, phase 1 (same mix) is the measurement window:
-    // the per-phase latency histogram then covers (nearly) the same
-    // interval as the throughput deltas — the run switches back to
-    // phase 0 before stop() so teardown-skewed ops don't pollute the
-    // phase-1 percentiles BENCH_kvstore.json pairs with the windowed
-    // ops/s (only ops in flight at the phase edges leak across).
-    const TrafficMix mix = TrafficMix::preset(MixKind::kMixedCross);
-    TrafficOptions traffic_options;
-    traffic_options.threads = kThreads;
-    traffic_options.phases = {mix, mix};
-    TrafficDriver driver(store, traffic_options);
-    driver.preload(mix.keySpace / 2);
-
-    driver.start();
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(seconds * 0.25));
-    driver.setPhase(1);
-    const std::uint64_t single_before = driver.singleKeyOpsCompleted();
-    const std::uint64_t multi_before = driver.multiOpsCompleted();
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-    const std::uint64_t single_after = driver.singleKeyOpsCompleted();
-    const std::uint64_t multi_after = driver.multiOpsCompleted();
-    driver.setPhase(0);
-    driver.stop();
-
-    MixedResult result;
-    result.singleOpsPerSec =
-        static_cast<double>(single_after - single_before) / seconds;
-    result.multiOpsPerSec =
-        static_cast<double>(multi_after - multi_before) / seconds;
-    result.latency = driver.latency(1);
-    return result;
-}
-
 struct DurabilityResult
 {
     MixedResult off;
@@ -213,12 +166,21 @@ struct DurabilityResult
     std::uint64_t fsyncMax = 0;
 };
 
-/** One leg of the durability A/B: the mixed 90/10 scenario under 2PC
- *  on a scratch WAL directory. When `result` is non-null the leg's
- *  WAL counters and fsync percentiles are captured into it. */
+/**
+ * The mixed 90/10 scenario under 2PC, on a scratch WAL directory
+ * unless `mode` is kOff. When `result` is non-null the run's WAL
+ * counters and fsync percentiles are captured into it.
+ *
+ * Phase 0 is warmup, phase 1 (same mix) is the measurement window:
+ * the per-phase latency histogram then covers (nearly) the same
+ * interval as the throughput deltas — the run switches back to phase
+ * 0 before stop() so teardown-skewed ops don't pollute the phase-1
+ * percentiles BENCH_kvstore.json pairs with the windowed ops/s (only
+ * ops in flight at the phase edges leak across).
+ */
 MixedResult
-runDurabilityLeg(Durability mode, double seconds,
-                 DurabilityResult *result)
+runMixed(double seconds, Durability mode = Durability::kOff,
+         DurabilityResult *result = nullptr)
 {
     namespace fs = std::filesystem;
     const char *wal_dir = "bench_wal_scratch";
@@ -229,7 +191,6 @@ runDurabilityLeg(Durability mode, double seconds,
     store_options.numShards = 4;
     store_options.log2SlotsPerShard = 16;
     store_options.initial = {tm::BackendKind::kTl2, 16, {}};
-    store_options.commitMode = CommitMode::kTwoPhase;
     store_options.durability = mode;
     if (mode != Durability::kOff)
         store_options.walDir = wal_dir;
@@ -291,11 +252,9 @@ DurabilityResult
 runDurability(double seconds)
 {
     DurabilityResult result;
-    result.off = runDurabilityLeg(Durability::kOff, seconds, nullptr);
-    result.buffered =
-        runDurabilityLeg(Durability::kBuffered, seconds, nullptr);
-    result.fsync =
-        runDurabilityLeg(Durability::kFsyncGroup, seconds, &result);
+    result.off = runMixed(seconds);
+    result.buffered = runMixed(seconds, Durability::kBuffered);
+    result.fsync = runMixed(seconds, Durability::kFsyncGroup, &result);
     if (result.off.singleOpsPerSec > 0) {
         result.bufferedOverheadPct =
             (result.off.singleOpsPerSec -
@@ -732,7 +691,7 @@ writeScaleSeries(std::FILE *f, const char *name,
 }
 
 bool
-writeJson(const char *path, double seconds, const MixedResult &latch,
+writeJson(const char *path, double seconds,
           const MixedResult &two_phase, const CacheResult *cache,
           const ReadHeavyResult *read_heavy,
           const DurabilityResult *durability,
@@ -743,10 +702,6 @@ writeJson(const char *path, double seconds, const MixedResult &latch,
         std::fprintf(stderr, "bench_kvstore: cannot write %s\n", path);
         return false;
     }
-    const double speedup =
-        latch.singleOpsPerSec > 0
-            ? two_phase.singleOpsPerSec / latch.singleOpsPerSec
-            : 0.0;
     std::fprintf(f,
                  "{\n"
                  "  \"bench\": \"kvstore_mixed_90_10\",\n"
@@ -756,11 +711,7 @@ writeJson(const char *path, double seconds, const MixedResult &latch,
                  "  \"hardware_threads\": %u,\n",
                  kThreads, seconds,
                  std::thread::hardware_concurrency());
-    writeJsonObject(f, "latch", latch);
-    std::fprintf(f, ",\n");
     writeJsonObject(f, "two_phase", two_phase);
-    std::fprintf(f, ",\n  \"single_key_speedup_2pc_over_latch\": %.3f",
-                 speedup);
     if (cache) {
         std::fprintf(
             f,
@@ -1005,20 +956,13 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("\ncommit-mode A/B, mixed 90%% single-key / 10%% "
-                "cross-shard multiOp (4 shards):\n");
+    std::printf("\nmixed 90%% single-key / 10%% cross-shard multiOp "
+                "(4 shards, 2PC commit):\n");
     std::printf("  %-10s %14s %12s %8s %8s %8s %9s\n", "mode",
                 "single ops/s", "multi ops/s", "p50ns", "p95ns",
                 "p99ns", "maxns");
-    const MixedResult latch = runMixed(CommitMode::kLatch, seconds);
-    printMixed("latch", latch);
-    const MixedResult two_phase =
-        runMixed(CommitMode::kTwoPhase, seconds);
+    const MixedResult two_phase = runMixed(seconds);
     printMixed("2pc", two_phase);
-    if (latch.singleOpsPerSec > 0) {
-        std::printf("  single-key speedup 2pc/latch: %.2fx\n",
-                    two_phase.singleOpsPerSec / latch.singleOpsPerSec);
-    }
 
     ReadHeavyResult read_heavy;
     if (with_read_heavy) {
@@ -1153,7 +1097,7 @@ main(int argc, char **argv)
                     probe_ab.speedup);
     }
 
-    if (!writeJson("BENCH_kvstore.json", seconds, latch, two_phase,
+    if (!writeJson("BENCH_kvstore.json", seconds, two_phase,
                    with_cache ? &cache : nullptr,
                    with_read_heavy ? &read_heavy : nullptr,
                    with_durability ? &durability : nullptr,
@@ -1161,7 +1105,7 @@ main(int argc, char **argv)
                    with_probe_ab ? &probe_ab : nullptr))
         return 1;
     // The read-path gate: a write-free workload that still pays
-    // validation retries or latch escalations is a regression CI must
+    // validation retries or snapshot escalations is a regression CI must
     // catch, not a number to eyeball.
     if (with_read_heavy && !read_heavy.readOnlyClean)
         return 2;

@@ -18,8 +18,8 @@
  * Any other operation that encounters an intent resolves it by reading
  * the commit record — use the pre-image while kPending, the intent's
  * post-image once kCommitted, discard on kAborted — so single-key
- * traffic keeps flowing through a multi-key commit instead of parking
- * behind a whole-shard latch.
+ * traffic keeps flowing through a multi-key commit instead of waiting
+ * for it.
  *
  * Memory lifetime. Intent pointers are loaded inside reader
  * transactions that may dereference them *after* the owner finalized

@@ -1789,16 +1789,27 @@ Shard::sweepChunk(polytm::ThreadToken &token)
 void
 Shard::maintainTick(polytm::ThreadToken &token)
 {
+    const auto over_threshold = [&](const ShardTable &table) {
+        return table.consumed.load(std::memory_order_relaxed) * 100 >=
+               table.slots * options_.growLoadPercent;
+    };
     TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
     if (ep->old) {
-        migrateChunk(token);
-        return;
+        // Writers must not outrun a migration on a growable shard: if
+        // inserts filled the live table while old-table entries still
+        // needed room in it, the walker would stall for good and every
+        // tryGrow would wait on it. Past the load threshold a writer
+        // drains the migration before writing on. (A capped shard
+        // keeps writing: its deletes free room for a stalled walker.)
+        if (!over_threshold(*ep->live) || ep->live->slots >= maxSlots_) {
+            migrateChunk(token);
+            return;
+        }
+        drainMigration(token);
+        ep = epochMirror_.load(std::memory_order_acquire);
     }
     ShardTable &live = *ep->live;
-    const bool over_threshold =
-        live.consumed.load(std::memory_order_relaxed) * 100 >=
-        live.slots * options_.growLoadPercent;
-    if (over_threshold &&
+    if (over_threshold(live) &&
         (live.slots < maxSlots_ || tombstoneHeavy(live))) {
         std::lock_guard<std::mutex> lk(growMutex_);
         TableEpoch *cur = epochMirror_.load(std::memory_order_acquire);

@@ -46,7 +46,7 @@
  * clock-hand sweep (the migration walker pointed at the live table)
  * tombstones expired slots in the background.
  *
- * Write intents (2PC commit mode). A slot's intent word is either 0 or
+ * Write intents (2PC commit). A slot's intent word is either 0 or
  * a pointer to a WriteIntent belonging to an in-flight cross-shard
  * commit (see commit_record.hpp). Slot states then read as:
  *  - kFull/kFullRef + intent: the pre-image is live until the intent's
@@ -418,8 +418,8 @@ class Shard
     /**
      * Compensation-log replay: force the slot for `key` back to the
      * given pre-image (kEmpty state deletes). Runs inside the same
-     * revert transaction / latch window as the failed attempt, so the
-     * insert point is always available.
+     * transaction as the failed attempt, so the insert point is
+     * always available.
      */
     void restoreTx(polytm::Tx &tx, std::uint64_t key,
                    const SlotImage &pre);
@@ -506,9 +506,11 @@ class Shard
     /**
      * Maintenance step, called by writers after their op commits (and
      * by the KvStore batching loop): relocates one migration chunk
-     * when a resize is in flight, triggers a proactive grow when the
-     * live table crosses the load threshold, and occasionally advances
-     * the TTL clock hand. Cheap (two atomic loads) when idle.
+     * when a resize is in flight (or, on a growable shard whose live
+     * table already crossed the load threshold, drains the whole
+     * migration first), triggers a proactive grow when the live table
+     * crosses the load threshold, and occasionally advances the TTL
+     * clock hand. Cheap (two atomic loads) when idle.
      */
     void maintainTick(polytm::ThreadToken &token);
 
@@ -534,7 +536,7 @@ class Shard
 
     /**
      * Post-commit bookkeeping shared by every direct put path (the
-     * Shard wrappers and KvStore's latch-aware ones): free the
+     * Shard wrappers and KvStore's session-aware ones): free the
      * displaced blob handles, feed the consumed-slot heuristic, run a
      * maintenance tick. Call only after the put's transaction
      * committed.

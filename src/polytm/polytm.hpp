@@ -195,40 +195,51 @@ class PolyTm
      * Execute `body` as one atomic transaction, retrying on aborts
      * with bounded randomized backoff. The body may run many times;
      * it must be side-effect free apart from transactional accesses.
+     * Each attempt first passes the ThreadGate, parking while the
+     * parallelism degree disables this thread; a caller that must not
+     * park mid-span pins itself (setPinned) instead.
      */
     template <typename F>
     void
     run(ThreadToken &token, F &&body)
     {
-        (void)runImpl<true>(token, body);
-    }
-
-    /**
-     * Like run(), but never parks: if this thread is disabled by the
-     * parallelism degree (at entry or between retry attempts),
-     * returns false with nothing committed. For callers holding
-     * external resources (latches) that a parked thread must not
-     * keep; pair with waitRunnable() — release the resource, wait,
-     * retry. Returns true after `body` committed.
-     */
-    template <typename F>
-    bool
-    tryRun(ThreadToken &token, F &&body)
-    {
-        return runImpl<false>(token, body);
-    }
-
-    /**
-     * Park until this thread is admitted by the current parallelism
-     * degree (no transaction is run). The admission can be revoked by
-     * a concurrent reconfigure at any time after return; callers use
-     * this only to avoid busy-spinning around tryRun().
-     */
-    void
-    waitRunnable(ThreadToken &token)
-    {
-        gate_.enter(token.tid);
-        gate_.exit(token.tid);
+        tm::TxDesc &desc = *token.desc;
+        desc.consecutiveAborts = 0;
+        for (;;) {
+            gate_.enter(token.tid);
+            tm::TmBackend *backend =
+                currentBackend_.load(std::memory_order_acquire);
+            if (desc.consecutiveAborts == 0) {
+                desc.htmBudgetLeft =
+                    cmBudget_.load(std::memory_order_relaxed);
+            }
+            try {
+                backend->txBegin(desc);
+                Tx tx(*backend, desc);
+                body(tx);
+                backend->txCommit(desc);
+                counters_[token.tid]->commits.fetch_add(
+                    1, std::memory_order_relaxed);
+                desc.consecutiveAborts = 0;
+                gate_.exit(token.tid);
+                return;
+            } catch (const tm::TxAbort &abort) {
+                onAbort(token, desc, *backend, abort);
+                gate_.exit(token.tid);
+                tm::backoffOnAbort(desc);
+            } catch (...) {
+                // Foreign exception out of the body (e.g. bad_alloc):
+                // roll the open transaction back so its locks release,
+                // drop the RUN bit — a leaked RUN would make the next
+                // reconfigure() spin forever — and let it propagate.
+                try {
+                    backend->abortTx(desc, tm::AbortCause::kExplicit);
+                } catch (const tm::TxAbort &) {
+                }
+                gate_.exit(token.tid);
+                throw;
+            }
+        }
     }
 
     /**
@@ -270,61 +281,6 @@ class PolyTm
     tm::TmBackend &backendFor(tm::BackendKind kind);
 
   private:
-    /**
-     * Shared retry loop behind run()/tryRun(): gate admission (parking
-     * when kBlocking, refusal otherwise), budget reload, begin / body /
-     * commit, profiling, abort handling with backoff. Returns true
-     * once the body committed; false only when !kBlocking and the
-     * gate refused admission (nothing committed).
-     */
-    template <bool kBlocking, typename F>
-    bool
-    runImpl(ThreadToken &token, F &&body)
-    {
-        tm::TxDesc &desc = *token.desc;
-        desc.consecutiveAborts = 0;
-        for (;;) {
-            if constexpr (kBlocking) {
-                gate_.enter(token.tid);
-            } else {
-                if (!gate_.tryEnter(token.tid))
-                    return false;
-            }
-            tm::TmBackend *backend =
-                currentBackend_.load(std::memory_order_acquire);
-            if (desc.consecutiveAborts == 0) {
-                desc.htmBudgetLeft =
-                    cmBudget_.load(std::memory_order_relaxed);
-            }
-            try {
-                backend->txBegin(desc);
-                Tx tx(*backend, desc);
-                body(tx);
-                backend->txCommit(desc);
-                counters_[token.tid]->commits.fetch_add(
-                    1, std::memory_order_relaxed);
-                desc.consecutiveAborts = 0;
-                gate_.exit(token.tid);
-                return true;
-            } catch (const tm::TxAbort &abort) {
-                onAbort(token, desc, *backend, abort);
-                gate_.exit(token.tid);
-                tm::backoffOnAbort(desc);
-            } catch (...) {
-                // Foreign exception out of the body (e.g. bad_alloc):
-                // roll the open transaction back so its locks release,
-                // drop the RUN bit — a leaked RUN would make the next
-                // reconfigure() spin forever — and let it propagate.
-                try {
-                    backend->abortTx(desc, tm::AbortCause::kExplicit);
-                } catch (const tm::TxAbort &) {
-                }
-                gate_.exit(token.tid);
-                throw;
-            }
-        }
-    }
-
     struct ThreadCounters
     {
         std::atomic<std::uint64_t> commits{0};

@@ -43,14 +43,6 @@ class ThreadGate
      */
     void enter(int tid);
 
-    /**
-     * Non-parking enter: acquires the RUN bit like enter(), but if the
-     * thread is disabled, undoes it and returns false instead of
-     * parking — for callers that hold external resources (ProteusKV's
-     * shard latches) which must never be held by a parked thread.
-     */
-    bool tryEnter(int tid);
-
     /** Transaction attempt finished (commit or abort). */
     void exit(int tid);
 

@@ -163,9 +163,10 @@ TEST(KvTunableTest, AutoTunerDrivesAllShardsConcurrently)
     traffic_options.threads = 2;
     traffic_options.phases = {TrafficMix::preset(MixKind::kReadHeavy)};
     traffic_options.phases[0].keySpace = 1024;
-    // Cross-shard multiOps racing the tuner's degree changes: the
-    // latched multi-key path must never wedge on a parked latch
-    // holder (regression for the tryRun/pinning design).
+    // Cross-shard multiOps racing the tuner's degree changes: a 2PC
+    // participant must never park mid-commit and strand its PENDING
+    // intents (guards the PinSpan rule: pin for the prepare-to-
+    // finalize span, park only outside it).
     traffic_options.phases[0].multiRatio = 0.05;
     TrafficDriver driver(store, traffic_options);
     driver.preload(512);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "polytm/polytm.hpp"
@@ -166,37 +168,66 @@ TEST(PolyTmExtraTest, ThreadsBeyondMaxRejected)
         poly.deregisterThread(t);
 }
 
-TEST(PolyTmExtraTest, TryRunRespectsDegreeAndPinUnpinIsSymmetric)
+TEST(PolyTmExtraTest, PinUnpinIsSymmetric)
 {
-    // Degree 1: tid 1 starts disabled, so tryRun must refuse without
-    // parking. A pin enables it; the unpin must re-disable it (a
-    // transient pin, as used by KvStore::multiOp, may not defeat the
-    // configured parallelism degree permanently).
+    // Degree 1: tid 1 starts disabled and parks in run(). A pin admits
+    // it; the unpin must put it back behind the gate (a transient pin,
+    // as KvStore::multiOp's PinSpan takes, may not defeat the
+    // configured parallelism degree permanently); raising the degree
+    // admits it again.
     PolyTm poly(TmConfig{tm::BackendKind::kTl2, 1, {}});
     auto token0 = poly.registerThread();
-    auto token1 = poly.registerThread();
-    TxField<int> field(0);
 
-    auto bump = [&](Tx &tx) { tx.write(field, tx.read(field) + 1); };
-    EXPECT_TRUE(poly.tryRun(token0, bump));
-    EXPECT_FALSE(poly.tryRun(token1, bump)) << "tid 1 is disabled";
-    EXPECT_EQ(field.rawGet(), 1);
+    std::atomic<int> tid1{-1};
+    std::atomic<bool> stop{false};
+    std::atomic<int> commits{0};
+    std::thread worker([&] {
+        auto token1 = poly.registerThread();
+        tid1.store(token1.tid);
+        TxField<int> field(0);
+        while (!stop.load()) {
+            poly.run(token1,
+                     [&](Tx &tx) { tx.write(field, tx.read(field) + 1); });
+            commits.fetch_add(1);
+        }
+        poly.deregisterThread(token1);
+    });
+    while (tid1.load() < 0)
+        std::this_thread::yield();
+    EXPECT_EQ(tid1.load(), 1);
 
-    poly.setPinned(token1.tid, true);
-    EXPECT_TRUE(poly.tryRun(token1, bump));
-    poly.setPinned(token1.tid, false);
-    EXPECT_FALSE(poly.tryRun(token1, bump))
+    const auto commits_pass = [&](int floor) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (commits.load() <= floor &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return commits.load() > floor;
+    };
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(commits.load(), 0) << "tid 1 is disabled at degree 1";
+
+    poly.setPinned(tid1.load(), true);
+    EXPECT_TRUE(commits_pass(0)) << "a pinned thread runs at degree 1";
+
+    // The unpin waits out the in-flight transaction; give the worker
+    // time to count it and park on its next run().
+    poly.setPinned(tid1.load(), false);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const int parked = commits.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(commits.load(), parked)
         << "unpin must put the thread back behind the gate";
-    EXPECT_EQ(field.rawGet(), 2);
 
-    // Raising the degree admits it again.
     poly.reconfigure({tm::BackendKind::kTl2, 2, {}});
-    EXPECT_TRUE(poly.tryRun(token1, bump));
-    EXPECT_EQ(field.rawGet(), 3);
+    EXPECT_TRUE(commits_pass(parked))
+        << "raising the degree admits tid 1 again";
 
+    stop.store(true);
     poly.resumeAllForShutdown();
+    worker.join();
     poly.deregisterThread(token0);
-    poly.deregisterThread(token1);
 }
 
 } // namespace
