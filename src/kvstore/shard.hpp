@@ -114,6 +114,7 @@
 #include <vector>
 
 #include "common/epoch.hpp"
+#include "common/pages.hpp"
 #include "common/simd.hpp"
 #include "kvstore/commit_record.hpp"
 #include "kvstore/value_arena.hpp"
@@ -176,8 +177,10 @@ struct ShardOptions
     /**
      * log2 of the per-backend orec/stripe table. Smaller than the
      * PolyTM default (18): a shard covers only its own slice of the
-     * key space, and a many-shard store pays this footprint (and
-     * construction-time zeroing) once per shard per backend.
+     * key space. Tables are mapped lazily, so a shard's resident
+     * footprint is the pages its active backend has written, at most
+     * that backend's tables (64 B per stripe each; one table, two for
+     * SwissTM).
      */
     unsigned log2Orecs = 16;
     /**
@@ -233,24 +236,26 @@ struct ShardTable
 {
     explicit ShardTable(std::size_t slot_count)
         : slots(slot_count), mask(slot_count - 1),
-          state(slot_count, kEmpty), keys(slot_count, 0),
-          values(slot_count, 0), expiry(slot_count, 0),
-          intents(slot_count, 0),
+          state(slot_count, kEmpty), keys(slot_count),
+          values(slot_count), expiry(slot_count),
+          intents(slot_count),
           ctrl((slot_count + 7) / 8, kCtrlEmptyWord)
     {}
 
     const std::size_t slots;
     const std::size_t mask;
-    std::vector<std::uint64_t> state;
-    std::vector<std::uint64_t> keys;
-    std::vector<std::uint64_t> values;
+    /** Slot words, each array its own zero-filled mapping; arrays
+     *  of 2 MiB and up sit on huge pages (common/pages.hpp). */
+    PageArray<std::uint64_t> state;
+    PageArray<std::uint64_t> keys;
+    PageArray<std::uint64_t> values;
     /** Absolute nowNanos() deadline; 0 = no TTL. */
-    std::vector<std::uint64_t> expiry;
+    PageArray<std::uint64_t> expiry;
     /** 0 or a WriteIntent* of an in-flight cross-shard commit. */
-    std::vector<std::uint64_t> intents;
+    PageArray<std::uint64_t> intents;
     /** Control-byte filter, 8 slots per TM-visible word (slot s is
      *  byte s&7 of word s>>3); see the file comment. */
-    std::vector<std::uint64_t> ctrl;
+    PageArray<std::uint64_t> ctrl;
 
     /** Heuristic non-kEmpty slot count (grow trigger; drift is ok). */
     std::atomic<std::size_t> consumed{0};

@@ -183,10 +183,13 @@ PolyTm::reconfigure(const TmConfig &config)
         }
     }
 
-    // Step (ii): switch the TM algorithm.
+    // Step (ii): switch the TM algorithm. Resetting the outgoing
+    // backend too hands its orec pages back, so resident TM metadata
+    // tracks the one active backend.
     if (!same_backend) {
         tm::TmBackend *next =
             backends_[static_cast<std::size_t>(config.backend)].get();
+        currentBackend_.load(std::memory_order_relaxed)->reset();
         next->reset();
         currentBackend_.store(next, std::memory_order_release);
     }

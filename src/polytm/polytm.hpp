@@ -175,7 +175,9 @@ class PolyTm
     /**
      * @param initial      configuration active at construction
      * @param htm_config   emulated-HTM capacity parameters
-     * @param log2_orecs   stripe-table size used by all backends
+     * @param log2_orecs   log2 of each orec backend's stripe table
+     *                     (64 B per stripe); only the active
+     *                     backend's table pages are resident
      */
     explicit PolyTm(TmConfig initial = {},
                     tm::SimHtmConfig htm_config = {},

@@ -5,8 +5,9 @@
  * PolyTM dispatches every transactional operation through a per-thread
  * backend pointer (the moral equivalent of the function-pointer table
  * in the paper's §4.1). Backends own all their metadata; switching is
- * only legal while every thread is quiesced, after which reset() puts
- * the incoming backend into a pristine state.
+ * only legal while every thread is quiesced, during which reset()
+ * puts the incoming backend into a pristine state and releases the
+ * outgoing backend's table pages.
  */
 
 #ifndef PROTEUS_TM_BACKEND_HPP
@@ -65,7 +66,8 @@ class TmBackend
      */
     virtual void rollback(TxDesc &tx) = 0;
 
-    /** Reset all global metadata; only called while quiesced. */
+    /** Reset all global metadata to its construction state, handing
+     *  table pages back; only called while quiesced. */
     virtual void reset() = 0;
 
     /**

@@ -18,9 +18,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <vector>
 
 #include "common/cacheline.hpp"
+#include "common/pages.hpp"
 
 namespace proteus::tm {
 
@@ -48,14 +48,21 @@ struct OrecWord
     bool operator==(const OrecWord &other) const = default;
 };
 
-/** One versioned lock, alone on a cache line. */
+/**
+ * One versioned lock, alone on a cache line.
+ *
+ * The word is plain storage reached through std::atomic_ref, which
+ * keeps Orec an implicit-lifetime aggregate: the zero pages of a fresh
+ * or reset OrecTable are unlocked version-0 orecs without a
+ * constructor writing (and so faulting in) every one of them.
+ */
 struct alignas(kCacheLineSize) Orec
 {
-    std::atomic<std::uint64_t> word{0};
+    std::uint64_t word;
 
     OrecWord load(std::memory_order mo = std::memory_order_acquire) const
     {
-        return OrecWord{word.load(mo)};
+        return OrecWord{ref().load(mo)};
     }
 
     /** Try to move unlocked `expected` -> locked by `tid`. */
@@ -63,7 +70,7 @@ struct alignas(kCacheLineSize) Orec
     tryLock(OrecWord expected, std::uint64_t tid)
     {
         std::uint64_t raw = expected.raw;
-        return word.compare_exchange_strong(
+        return ref().compare_exchange_strong(
             raw, OrecWord::makeLocked(tid).raw, std::memory_order_acq_rel);
     }
 
@@ -71,15 +78,22 @@ struct alignas(kCacheLineSize) Orec
     void
     releaseToVersion(std::uint64_t version)
     {
-        word.store(OrecWord::makeVersion(version).raw,
-                   std::memory_order_release);
+        ref().store(OrecWord::makeVersion(version).raw,
+                    std::memory_order_release);
     }
 
     /** Release a lock we own, restoring the pre-lock word. */
     void
     releaseRestore(OrecWord prev)
     {
-        word.store(prev.raw, std::memory_order_release);
+        ref().store(prev.raw, std::memory_order_release);
+    }
+
+  private:
+    std::atomic_ref<std::uint64_t> ref() const
+    {
+        return std::atomic_ref<std::uint64_t>(
+            const_cast<std::uint64_t &>(word));
     }
 };
 
@@ -89,20 +103,30 @@ struct alignas(kCacheLineSize) Orec
  * The stripe count is a power of two; addresses map to stripes at
  * word granularity with a multiplicative hash, like TinySTM's
  * lock array.
+ *
+ * The table is a PageArray, one zero-filled anonymous mapping
+ * (common/pages.hpp):
+ * an all-zero orec is unlocked at version 0, so construction writes
+ * nothing and a page of orecs becomes resident only once a
+ * transaction locks a stripe on it. reset() hands every page back.
+ * PolyTM resets both backends of a switch, so only the active
+ * backend's pages are resident.
  */
 class OrecTable
 {
   public:
     /** @param log2_size log2 of the number of stripes. */
     explicit OrecTable(unsigned log2_size = 20)
-        : mask_((std::size_t{1} << log2_size) - 1),
-          orecs_(std::size_t{1} << log2_size)
+        : mask_((std::size_t{1} << log2_size) - 1), orecs_(mask_ + 1)
     {}
 
     Orec &forAddr(const void *addr)
     {
         return orecs_[indexOf(addr)];
     }
+
+    /** The orec of stripe `i` (< size()). */
+    Orec &operator[](std::size_t i) { return orecs_[i]; }
 
     std::size_t indexOf(const void *addr) const
     {
@@ -111,19 +135,15 @@ class OrecTable
         return static_cast<std::size_t>(bits >> 24) & mask_;
     }
 
-    std::size_t size() const { return orecs_.size(); }
+    std::size_t size() const { return mask_ + 1; }
 
-    /** Reset all stripes to version 0 (only while quiesced). */
-    void
-    reset()
-    {
-        for (auto &o : orecs_)
-            o.word.store(0, std::memory_order_relaxed);
-    }
+    /** Reset all stripes to version 0 and release their pages (only
+     *  while quiesced). */
+    void reset() { orecs_.discard(); }
 
   private:
     std::size_t mask_;
-    std::vector<Orec> orecs_;
+    PageArray<Orec> orecs_;
 };
 
 /** Global version clock shared by the timestamp-based STMs. */
