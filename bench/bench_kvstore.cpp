@@ -61,25 +61,14 @@
  * scaling gate (checked by the workflow from the JSON, not by the
  * bench itself, so single-core dev runs don't fail spuriously).
  *
- * Series 8 (probe A/B, --probe-ab): a dense-table (~60% load) get/
- * put/del churn run as three interleaved SIMD-vs-scalar-probe pairs
- * (the runtime switch in common/simd.hpp flips Shard::probe to its
- * legacy slot-at-a-time walk). The median pair's ratio lands in
- * BENCH_kvstore.json as simd_probe_speedup (>= 1.0 expected; the win
- * comes from miss/tombstone-heavy chains, which probe whole groups
- * per compare — near-empty tables resolve on the home-slot fast path
- * and the two legs tie by construction).
- *
  * Usage: bench_kvstore [seconds-per-point] [--mixed-only] [--cache]
  *                      [--read-heavy] [--durability] [--threads]
- *                      [--probe-ab]
  *   seconds-per-point   default 0.4
  *   --mixed-only        skip series 1/2 (CI smoke mode)
  *   --cache             add the cache-preset series
  *   --read-heavy        add the read-path series (+ CI gate)
  *   --durability        add the WAL durability A/B series
  *   --threads           add the 1/2/4/8-thread scaling series
- *   --probe-ab          add the SIMD-vs-scalar probe A/B
  */
 
 #include <algorithm>
@@ -93,7 +82,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/simd.hpp"
 #include "common/timing.hpp"
 #include "kvstore/traffic.hpp"
 
@@ -354,12 +342,11 @@ struct ScalingResult
 /** One scaling point: `mix` at 4 shards under `threads` workers,
  *  warmup phase 0 / measured phase 1 (same windowing as runMixed). */
 ScalePoint
-runScalePoint(const TrafficMix &mix, int threads, double seconds,
-              unsigned log2_slots = 16)
+runScalePoint(const TrafficMix &mix, int threads, double seconds)
 {
     KvStoreOptions store_options;
     store_options.numShards = 4;
-    store_options.log2SlotsPerShard = log2_slots;
+    store_options.log2SlotsPerShard = 16;
     store_options.initial = {tm::BackendKind::kTl2, 16, {}};
     KvStore store(store_options);
 
@@ -398,63 +385,6 @@ runScaling(double seconds)
             seconds));
     }
     return result;
-}
-
-struct ProbeAbResult
-{
-    double simdOpsPerSec = 0;   //!< median pair's SIMD leg
-    double scalarOpsPerSec = 0; //!< median pair's scalar leg
-    double speedup = 0;         //!< median of simd/scalar per pair
-};
-
-/**
- * SIMD-vs-scalar probe A/B: three interleaved pairs with the
- * group-filtered probe on vs the legacy slot walk (the runtime switch
- * in common/simd.hpp — same binary, same stores, background drift
- * hits both legs). Median pair reported, same reasoning as
- * measureObsOverheadPct. Windows floored at 0.3 s.
- *
- * The workload is a probe-stressing variant of read-heavy: a dense
- * table (~60% of slots, just under the grow trigger) with delete
- * churn, so lookups actually walk tombstoned probe chains — the case
- * the group filter exists for. The scale series' near-empty tables
- * resolve almost every probe on the home slot, where the two legs
- * are identical by construction.
- */
-ProbeAbResult
-runProbeAb(double seconds)
-{
-    const double ab_seconds = seconds < 0.3 ? 0.3 : seconds;
-    constexpr unsigned kLog2Slots = 12;
-    TrafficMix mix = TrafficMix::preset(MixKind::kReadHeavy);
-    mix.getRatio = 0.80;
-    mix.putRatio = 0.10;
-    mix.delRatio = 0.10;
-    mix.zipfTheta = 0;
-    mix.keySpace = (std::uint64_t{4} << kLog2Slots) * 3 / 5;
-    struct Pair
-    {
-        double simd;
-        double scalar;
-        double ratio;
-    };
-    Pair pairs[3];
-    for (auto &pair : pairs) {
-        simd::setForceScalarProbe(false);
-        pair.simd =
-            runScalePoint(mix, kThreads, ab_seconds, kLog2Slots)
-                .opsPerSec;
-        simd::setForceScalarProbe(true);
-        pair.scalar =
-            runScalePoint(mix, kThreads, ab_seconds, kLog2Slots)
-                .opsPerSec;
-        pair.ratio = pair.scalar > 0 ? pair.simd / pair.scalar : 0.0;
-    }
-    simd::setForceScalarProbe(false);
-    std::sort(pairs, pairs + 3, [](const Pair &a, const Pair &b) {
-        return a.ratio < b.ratio;
-    });
-    return {pairs[1].simd, pairs[1].scalar, pairs[1].ratio};
 }
 
 /** The series-5 mix: 95/5 Zipf over ~128 B byte values. */
@@ -511,8 +441,8 @@ struct ObsOverhead
  * the recorded estimate; the gate uses the smallest pair, because a
  * real hot-path cost is present in every pair while a scheduler
  * hiccup hitting one or two pairs must not fail CI. Short CLI windows
- * are floored at 0.3 s — below that, single-core run-to-run variance
- * swamps the signal. Positive = telemetry costs throughput.
+ * are floored at 0.3 s — below that, run-to-run variance swamps the
+ * signal. Positive = telemetry costs throughput.
  */
 ObsOverhead
 measureObsOverheadPct(double seconds)
@@ -695,7 +625,7 @@ writeJson(const char *path, double seconds,
           const MixedResult &two_phase, const CacheResult *cache,
           const ReadHeavyResult *read_heavy,
           const DurabilityResult *durability,
-          const ScalingResult *scaling, const ProbeAbResult *probe_ab)
+          const ScalingResult *scaling)
 {
     std::FILE *f = std::fopen(path, "w");
     if (!f) {
@@ -822,18 +752,6 @@ writeJson(const char *path, double seconds,
         writeScaleSeries(f, "mixed", scaling->mixed);
         std::fprintf(f, "\n  }");
     }
-    if (probe_ab) {
-        std::fprintf(
-            f,
-            ",\n"
-            "  \"probe_ab\": {\n"
-            "    \"simd_ops_per_sec\": %.0f,\n"
-            "    \"scalar_ops_per_sec\": %.0f\n"
-            "  },\n"
-            "  \"simd_probe_speedup\": %.3f",
-            probe_ab->simdOpsPerSec, probe_ab->scalarOpsPerSec,
-            probe_ab->speedup);
-    }
     std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", path);
@@ -851,7 +769,6 @@ main(int argc, char **argv)
     bool with_read_heavy = false;
     bool with_durability = false;
     bool with_threads = false;
-    bool with_probe_ab = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--mixed-only") == 0) {
             mixed_only = true;
@@ -863,8 +780,6 @@ main(int argc, char **argv)
             with_durability = true;
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             with_threads = true;
-        } else if (std::strcmp(argv[i], "--probe-ab") == 0) {
-            with_probe_ab = true;
         } else {
             const double parsed = std::atof(argv[i]);
             if (parsed > 0) {
@@ -875,7 +790,7 @@ main(int argc, char **argv)
                              "(usage: bench_kvstore [seconds-per-point]"
                              " [--mixed-only] [--cache]"
                              " [--read-heavy] [--durability]"
-                             " [--threads] [--probe-ab])\n",
+                             " [--threads])\n",
                              argv[i]);
                 return 2;
             }
@@ -1086,23 +1001,11 @@ main(int argc, char **argv)
         print_series("mixed", scaling.mixed);
     }
 
-    ProbeAbResult probe_ab;
-    if (with_probe_ab) {
-        std::printf("\nprobe A/B, dense-table churn (SIMD group "
-                    "filter vs legacy slot walk, 3 pairs):\n");
-        probe_ab = runProbeAb(seconds);
-        std::printf("  simd %14.0f ops/s | scalar %14.0f ops/s | "
-                    "speedup %.3fx (median pair)\n",
-                    probe_ab.simdOpsPerSec, probe_ab.scalarOpsPerSec,
-                    probe_ab.speedup);
-    }
-
     if (!writeJson("BENCH_kvstore.json", seconds, two_phase,
                    with_cache ? &cache : nullptr,
                    with_read_heavy ? &read_heavy : nullptr,
                    with_durability ? &durability : nullptr,
-                   with_threads ? &scaling : nullptr,
-                   with_probe_ab ? &probe_ab : nullptr))
+                   with_threads ? &scaling : nullptr))
         return 1;
     // The read-path gate: a write-free workload that still pays
     // validation retries or snapshot escalations is a regression CI must

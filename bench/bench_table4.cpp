@@ -11,9 +11,10 @@
  * for GCC's fully-instrumented code path (the dual-path ablation).
  *
  * Shape targets: overheads small (paper: <5% on STMs / HTM-opt;
- * 14-24% for HTM-naive). This host has one core, so thread counts >1
- * are oversubscribed; the *relative* bare-vs-PolyTM comparison is
- * still meaningful since both sides are oversubscribed equally.
+ * 14-24% for HTM-naive). The CI and bench hosts have 4 vCPUs, so the
+ * 8-thread row is oversubscribed; the *relative* bare-vs-PolyTM
+ * comparison is still meaningful since both sides are oversubscribed
+ * equally.
  */
 
 #include <thread>
@@ -197,7 +198,8 @@ int
 run()
 {
     printTitle("Table 4: PolyTM overhead (%) vs bare TM "
-               "(median of 5 runs; 1-core host, >1t oversubscribed)");
+               "(median of 5 runs; threads beyond the host's cores "
+               "are oversubscribed)");
     std::printf("%-10s", "#threads");
     const char *columns[] = {"TL2",     "NOrec",   "Swiss",
                              "Tiny",    "HTM-opt", "HTM-naive"};
@@ -231,8 +233,8 @@ run()
     }
     std::printf("\nShape target: STM/HTM-opt columns ~0-5%%; the gate "
                 "fetch-and-add dominates PolyTM's added cost.\n"
-                "Negative cells are oversubscription scheduling noise "
-                "on this 1-core host.\n");
+                "Negative cells are scheduling noise, largest in "
+                "oversubscribed rows.\n");
     return 0;
 }
 

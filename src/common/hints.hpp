@@ -1,6 +1,6 @@
 /**
  * @file
- * Branch-prediction and prefetch hints for hot probe loops.
+ * Branch-prediction hints for hot probe loops.
  *
  * Thin, compiler-gated wrappers: hints are advisory only and compile
  * to nothing on toolchains without the builtins, so call sites stay
@@ -15,12 +15,9 @@
 #if defined(__GNUC__) || defined(__clang__)
 #define PROTEUS_LIKELY(x) __builtin_expect(!!(x), 1)
 #define PROTEUS_UNLIKELY(x) __builtin_expect(!!(x), 0)
-/** Read-prefetch with low temporal locality (probe walks stream). */
-#define PROTEUS_PREFETCH(addr) __builtin_prefetch((addr), 0, 1)
 #else
 #define PROTEUS_LIKELY(x) (x)
 #define PROTEUS_UNLIKELY(x) (x)
-#define PROTEUS_PREFETCH(addr) ((void)0)
 #endif
 
 #endif // PROTEUS_COMMON_HINTS_HPP

@@ -12,9 +12,9 @@
  * TSan to see.
  *
  * Dispatch is compile-time: SSE2 when the target has it (baseline on
- * x86-64), a portable per-byte fallback otherwise or when
- * PROTEUS_FORCE_SCALAR_PROBE is defined (the CI scalar-fallback build).
- * Both paths are always compiled and unit-tested against each other.
+ * x86-64), a portable per-byte fallback otherwise. The portable path
+ * is always compiled, and unit-tested against brute force alongside
+ * the SSE2 one.
  *
  * Lane numbering: lane i (0..7) is byte i of `lo` (little-endian byte
  * order, i.e. bits [8i, 8i+8)), lane 8+i is byte i of `hi`.
@@ -23,10 +23,9 @@
 #ifndef PROTEUS_COMMON_SIMD_HPP
 #define PROTEUS_COMMON_SIMD_HPP
 
-#include <atomic>
 #include <cstdint>
 
-#if defined(__SSE2__) && !defined(PROTEUS_FORCE_SCALAR_PROBE)
+#if defined(__SSE2__)
 #include <emmintrin.h>
 #define PROTEUS_SIMD_SSE2 1
 #else
@@ -109,26 +108,6 @@ matchHighBit16(std::uint64_t lo, std::uint64_t hi)
 #else
     return matchHighBit16Scalar(lo, hi);
 #endif
-}
-
-/**
- * Runtime probe A/B switch (bench only): when set, Shard::probe takes
- * its legacy slot-at-a-time walk instead of the group-filtered one, so
- * bench_kvstore --probe-ab can interleave both on the same live store.
- * One relaxed load per probe; defaults off.
- */
-inline std::atomic<int> g_forceScalarProbe{0};
-
-inline void
-setForceScalarProbe(bool on)
-{
-    g_forceScalarProbe.store(on ? 1 : 0, std::memory_order_relaxed);
-}
-
-inline bool
-forceScalarProbe()
-{
-    return g_forceScalarProbe.load(std::memory_order_relaxed) != 0;
 }
 
 } // namespace proteus::simd

@@ -86,9 +86,10 @@ KvStore::KvStore(KvStoreOptions options)
 {
     if (options.numShards <= 0)
         throw std::invalid_argument("KvStore: numShards must be >= 1");
-    if (options.log2SlotsPerShard == 0 || options.log2SlotsPerShard > 30)
+    // >= 4: a shard table holds at least one 16-slot ctrl group.
+    if (options.log2SlotsPerShard < 4 || options.log2SlotsPerShard > 30)
         throw std::invalid_argument(
-            "KvStore: log2SlotsPerShard must be in [1, 30]");
+            "KvStore: log2SlotsPerShard must be in [4, 30]");
     if (options.maxLog2SlotsPerShard != 0 &&
         options.maxLog2SlotsPerShard < options.log2SlotsPerShard)
         throw std::invalid_argument(

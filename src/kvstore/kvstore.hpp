@@ -142,7 +142,7 @@ struct KvResult
 struct KvStoreOptions
 {
     int numShards = 4;
-    /** log2 of the *initial* slot count per shard. */
+    /** log2 of the *initial* slot count per shard, in [4, 30]. */
     unsigned log2SlotsPerShard = 14;
     /**
      * Growth cap per shard: tables double online until

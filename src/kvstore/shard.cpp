@@ -23,13 +23,14 @@ mix64(std::uint64_t x)
 }
 
 unsigned
-checkedLog2(unsigned log2_value, const char *what)
+checkedLog2(unsigned log2_value, unsigned min, const char *what)
 {
     // >= 32 is either a config typo or would shift into UB territory;
     // fail loudly like the rest of the subsystem's range checks.
-    if (log2_value == 0 || log2_value >= 32) {
+    if (log2_value < min || log2_value >= 32) {
         throw std::invalid_argument(std::string("Shard: ") + what +
-                                    " must be in [1, 31]");
+                                    " must be in [" +
+                                    std::to_string(min) + ", 31]");
     }
     return log2_value;
 }
@@ -56,11 +57,12 @@ inlineNumeric(ValueRef ref)
 
 Shard::Shard(ShardOptions options)
     : poly_(options.initial, {},
-            checkedLog2(options.log2Orecs, "log2Orecs")),
+            checkedLog2(options.log2Orecs, 1, "log2Orecs")),
       options_(options)
 {
+    // >= 4: at least one 16-slot ctrl group, the probe's unit.
     const unsigned log2_slots =
-        checkedLog2(options.log2Slots, "log2Slots");
+        checkedLog2(options.log2Slots, 4, "log2Slots");
     if (options.maxLog2Slots == 0) {
         maxSlots_ = std::numeric_limits<std::size_t>::max();
     } else {
@@ -124,44 +126,9 @@ Shard::ctrlSetTx(polytm::Tx &tx, ShardTable &table, std::size_t slot,
 }
 
 std::size_t
-Shard::probeScalar(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
-                   bool *found)
-{
-    *found = false;
-    std::size_t insert_at = table.slots; // first tombstone seen, if any
-    std::size_t slot = homeSlot(table, key);
-    for (std::size_t step = 0; step < table.slots; ++step) {
-        // The common probe is one or two slots long; when it runs
-        // past that the chain is streaming — pull the next slot's
-        // state/key lines in early so the TM read barrier hits warm
-        // cache.
-        const std::size_t next = (slot + 1) & table.mask;
-        PROTEUS_PREFETCH(&table.state[next]);
-        PROTEUS_PREFETCH(&table.keys[next]);
-        const std::uint64_t state = tx.readWord(&table.state[slot]);
-        if (state == kEmpty)
-            return insert_at < table.slots ? insert_at : slot;
-        if (PROTEUS_UNLIKELY(state == kTombstone)) {
-            if (insert_at == table.slots)
-                insert_at = slot;
-        } else if (PROTEUS_LIKELY(tx.readWord(&table.keys[slot]) ==
-                                  key)) {
-            // kFull/kFullRef/kPendingInsert all carry a valid key word.
-            *found = true;
-            return slot;
-        }
-        slot = next;
-    }
-    return insert_at; // table.slots when the table has no reusable slot
-}
-
-std::size_t
 Shard::probe(polytm::Tx &tx, ShardTable &table, std::uint64_t key,
              bool *found)
 {
-    if (PROTEUS_UNLIKELY(table.slots < kCtrlGroupSlots ||
-                         simd::forceScalarProbe()))
-        return probeScalar(tx, table, key, found);
     *found = false;
     const std::uint64_t hash = mix64(key);
     const std::size_t home =
@@ -1569,38 +1536,9 @@ Shard::migrateChunk(polytm::ThreadToken &token)
             ctrlSetTx(tx, *old, slot, kCtrlTombstone);
             return true;
         };
-        if (old->slots < kCtrlGroupSlots) {
-            for (std::size_t slot = begin; slot < end; ++slot)
-                if (!migrate_slot(slot))
-                    return;
-            return;
-        }
-        // Ctrl-guided walk: one TM read skips 8 empty/tombstone slots.
-        // Unlike the probe, the walker leans on the ctrl words as
-        // transactional truth, which they are — every committed state
-        // CLASS change rewrites its ctrl byte in the same transaction,
-        // and intents only ever sit on fingerprint-class slots, so a
-        // skipped lane can hide neither a value nor an intent.
-        const std::size_t first_word = begin >> 3;
-        const std::size_t last_word = (end + 7) >> 3;
-        for (std::size_t word = first_word; word < last_word; ++word) {
-            const std::size_t base = word << 3;
-            std::uint32_t lanes = 0xffu;
-            if (base < begin)
-                lanes &= ~std::uint32_t{0} << (begin - base);
-            if (base + 8 > end)
-                lanes &= ~(~std::uint32_t{0} << (end - base)) & 0xffu;
-            const std::uint64_t bytes = tx.readWord(&old->ctrl[word]);
-            std::uint32_t cand =
-                ~simd::matchHighBit16(bytes, 0) & lanes;
-            while (cand != 0) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(cand));
-                cand &= cand - 1;
-                if (!migrate_slot(base + lane))
-                    return;
-            }
-        }
+        // Chunks are claimed at multiples of `chunk` and end at the
+        // table's end, so the walk never wraps.
+        forEachKeyedSlotTx(tx, *old, begin, end - begin, migrate_slot);
     });
     for (const std::uint64_t ref : reclaim)
         retireBlob(ref); // a doomed scan may still hold the handles
@@ -1722,14 +1660,14 @@ Shard::sweepChunk(polytm::ThreadToken &token)
         TableEpoch *cur = epochTx(tx);
         if (cur->live != &live)
             return; // table rotated under the clock hand
-        const auto sweep_slot = [&](std::size_t slot) {
+        forEachKeyedSlotTx(tx, live, begin, chunk, [&](std::size_t slot) {
             // Slots under an intent belong to an in-flight commit;
             // leave them to their owner.
             if (tx.readWord(&live.intents[slot]) != 0)
-                return;
+                return true;
             const std::uint64_t state = tx.readWord(&live.state[slot]);
             if (!stateIsValue(state))
-                return;
+                return true;
             const std::uint64_t deadline =
                 tx.readWord(&live.expiry[slot]);
             if (deadline != 0 && deadline <= nowNanos()) {
@@ -1739,42 +1677,8 @@ Shard::sweepChunk(polytm::ThreadToken &token)
                 ctrlSetTx(tx, live, slot, kCtrlTombstone);
                 ++expired_count;
             }
-        };
-        if (live.slots < kCtrlGroupSlots) {
-            std::size_t slot = begin;
-            for (std::size_t step = 0; step < chunk; ++step) {
-                sweep_slot(slot);
-                slot = (slot + 1) & live.mask;
-            }
-            return;
-        }
-        // Ctrl-guided: the clock hand skips 8 empty/tombstone slots
-        // per TM read (see migrateChunk for why skipping on ctrl is
-        // sound for walkers).
-        std::size_t slot = begin;
-        std::size_t remaining = std::min(chunk, live.slots);
-        while (remaining > 0) {
-            const std::size_t word = slot >> 3;
-            const auto first_lane = static_cast<unsigned>(slot & 7);
-            const std::size_t in_word =
-                std::min<std::size_t>(8 - first_lane, remaining);
-            const std::uint32_t lanes =
-                (in_word == 8 ? 0xffu
-                              : ~(~std::uint32_t{0} << in_word) &
-                                    0xffu)
-                << first_lane;
-            const std::uint64_t bytes = tx.readWord(&live.ctrl[word]);
-            std::uint32_t cand =
-                ~simd::matchHighBit16(bytes, 0) & lanes;
-            while (cand != 0) {
-                const unsigned lane =
-                    static_cast<unsigned>(std::countr_zero(cand));
-                cand &= cand - 1;
-                sweep_slot((word << 3) + lane);
-            }
-            slot = (slot + in_word) & live.mask;
-            remaining -= in_word;
-        }
+            return true;
+        });
     });
     for (const std::uint64_t ref : reclaim)
         retireBlob(ref);
@@ -1859,7 +1763,7 @@ std::size_t
 Shard::findSlotQuiesced(std::uint64_t key) const
 {
     // Test hook: raw probe over the quiesced live table (no TM, no
-    // concurrency). Mirrors the scalar probe's termination rules.
+    // concurrency): a slot walk with the probe's termination rules.
     TableEpoch *ep = epochMirror_.load(std::memory_order_acquire);
     const ShardTable &table = *ep->live;
     std::size_t slot = homeSlot(table, key);

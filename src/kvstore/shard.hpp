@@ -98,12 +98,16 @@
  * same transaction (insert/delete/2PC prepare/finalize/abort/restore,
  * migration, TTL sweep), which keeps the filter exact at every
  * committed state. The maintenance walkers (migration, sweep, scan)
- * use the same words to skip empty/tombstone runs wholesale.
+ * share one ctrl-lane walker, forEachKeyedSlotTx, which uses the same
+ * words to skip empty/tombstone runs wholesale. The group probe is
+ * the only probe, so every table holds at least one 16-slot ctrl
+ * group (log2Slots >= 4).
  */
 
 #ifndef PROTEUS_KVSTORE_SHARD_HPP
 #define PROTEUS_KVSTORE_SHARD_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -158,7 +162,8 @@ struct ReadView
 
 struct ShardOptions
 {
-    /** log2 of the initial slot count; default 2^14 slots. */
+    /** log2 of the initial slot count, in [4, 31] (at least one
+     *  16-slot ctrl group); default 2^14 slots. */
     unsigned log2Slots = 14;
     /**
      * Growth cap: tables double until 2^maxLog2Slots slots. 0 means
@@ -709,10 +714,48 @@ class Shard
 
     std::size_t probe(polytm::Tx &tx, ShardTable &table,
                       std::uint64_t key, bool *found);
-    /** Legacy slot-at-a-time probe: tiny tables (< one ctrl group)
-     *  and the bench's runtime scalar A/B leg. */
-    std::size_t probeScalar(polytm::Tx &tx, ShardTable &table,
-                            std::uint64_t key, bool *found);
+
+    /**
+     * The one ctrl-lane walker (migration, TTL sweep, scan): visits,
+     * in ascending slot order with wraparound from `start`, every
+     * slot among the next `count` (at most the whole table) whose
+     * ctrl byte has bit 7 clear — kFull/kFullRef/kPendingInsert —
+     * and stops when visit(slot) returns false. One TM read per ctrl
+     * word skips 8 empty/tombstone slots. Unlike the probe, walkers
+     * lean on the ctrl words as transactional truth, which they are:
+     * every committed state-class change rewrites its ctrl byte in
+     * the same transaction, and intents only ever sit on
+     * fingerprint-class slots, so a skipped lane can hide neither a
+     * value nor an intent.
+     */
+    template <typename Visit>
+    static void
+    forEachKeyedSlotTx(polytm::Tx &tx, ShardTable &table,
+                       std::size_t start, std::size_t count,
+                       Visit &&visit)
+    {
+        std::size_t slot = start;
+        std::size_t remaining = std::min(count, table.slots);
+        while (remaining > 0) {
+            const std::size_t word = slot >> 3;
+            const auto first_lane = static_cast<unsigned>(slot & 7);
+            const std::size_t in_word =
+                std::min<std::size_t>(8 - first_lane, remaining);
+            const std::uint32_t lanes =
+                (~(~std::uint32_t{0} << in_word) & 0xffu) << first_lane;
+            const std::uint64_t bytes = tx.readWord(&table.ctrl[word]);
+            std::uint32_t cand = ~simd::matchHighBit16(bytes, 0) & lanes;
+            while (cand != 0) {
+                const unsigned lane =
+                    static_cast<unsigned>(std::countr_zero(cand));
+                cand &= cand - 1;
+                if (!visit((word << 3) + lane))
+                    return;
+            }
+            slot = (slot + in_word) & table.mask;
+            remaining -= in_word;
+        }
+    }
 
     /** Rewrite slot `slot`'s ctrl byte inside `tx` (read-modify-write
      *  of its packed word); every slot-state-class change calls this
@@ -748,49 +791,18 @@ class Shard
         std::size_t count = 0;
         TableEpoch *ep = epochTx(tx);
         const auto walk = [&](ShardTable &table) {
-            // Ctrl-guided: one ctrl word covers 8 slots; only lanes
-            // whose byte carries a key fingerprint (bit 7 clear —
-            // kFull/kFullRef/kPendingInsert) touch the state words,
-            // so empty/tombstone runs cost one TM read per 8 slots.
-            // Same visit order as the old slot walk: `start`, then
-            // ascending with wraparound, the start word's leading
-            // lanes last.
-            const std::size_t start = homeSlot(table, start_key);
-            const std::size_t words = table.ctrl.size();
-            std::size_t word = start >> 3;
-            const auto start_lane = static_cast<unsigned>(start & 7);
-            for (std::size_t w = 0; w <= words && count < limit;
-                 ++w) {
-                std::uint32_t lanes = 0xffu;
-                if (w == 0) {
-                    lanes &= ~std::uint32_t{0} << start_lane;
-                } else if (w == words) {
-                    if (start_lane == 0)
-                        break; // start was word-aligned: fully covered
-                    lanes = ~(~std::uint32_t{0} << start_lane) & 0xffu;
-                }
-                const std::uint64_t bytes =
-                    tx.readWord(&table.ctrl[word]);
-                std::uint32_t cand =
-                    ~simd::matchHighBit16(bytes, 0) & lanes;
-                while (cand != 0 && count < limit) {
-                    const unsigned lane =
-                        static_cast<unsigned>(std::countr_zero(cand));
-                    cand &= cand - 1;
-                    const std::size_t slot = (word << 3) + lane;
-                    const std::uint64_t state =
-                        tx.readWord(&table.state[slot]);
-                    if (state == kFull || state == kFullRef ||
-                        state == kPendingInsert) {
-                        LiveValue live;
-                        if (resolveSlotLiveTx(tx, table, slot, &live,
-                                              view) &&
-                            emit(table, slot, live))
-                            ++count;
-                    }
-                }
-                word = word + 1 == words ? 0 : word + 1;
-            }
+            if (count >= limit)
+                return;
+            forEachKeyedSlotTx(
+                tx, table, homeSlot(table, start_key), table.slots,
+                [&](std::size_t slot) {
+                    LiveValue live;
+                    if (resolveSlotLiveTx(tx, table, slot, &live,
+                                          view) &&
+                        emit(table, slot, live))
+                        ++count;
+                    return count < limit;
+                });
         };
         // A key is live in at most one table, so walking both cannot
         // double-count.

@@ -2,11 +2,12 @@
  * @file
  * Machine models for the analytical TM performance simulator.
  *
- * This box has one core; the paper's evaluation needs an 8-hyperthread
- * Haswell with TSX+RAPL (Machine A) and a 4-socket 48-core Opteron
- * (Machine B). MachineModel captures exactly the architectural
- * parameters the TM performance shapes depend on: core/SMT/socket
- * topology, HTM capacity, NUMA penalty and the power envelope.
+ * The bench host has 4 vCPUs; the paper's evaluation needs an
+ * 8-hyperthread Haswell with TSX+RAPL (Machine A) and a 4-socket
+ * 48-core Opteron (Machine B). MachineModel captures exactly the
+ * architectural parameters the TM performance shapes depend on:
+ * core/SMT/socket topology, HTM capacity, NUMA penalty and the power
+ * envelope.
  */
 
 #ifndef PROTEUS_SIMARCH_MACHINE_HPP

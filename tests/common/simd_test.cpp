@@ -1,8 +1,7 @@
 /**
  * simd.hpp tests: both lane-match paths (SSE2 when compiled in, the
  * portable per-byte fallback always) against hand-computed patterns
- * and against each other on random words, plus lane-numbering pins
- * and the bench's runtime scalar-probe toggle.
+ * and against each other on random words, plus lane-numbering pins.
  */
 
 #include <gtest/gtest.h>
@@ -123,15 +122,6 @@ TEST(SimdTest, Sse2PathAgreesWithScalarOnBiasedBytes)
     }
 }
 #endif
-
-TEST(SimdTest, ForceScalarProbeToggleRoundTrips)
-{
-    EXPECT_FALSE(forceScalarProbe());
-    setForceScalarProbe(true);
-    EXPECT_TRUE(forceScalarProbe());
-    setForceScalarProbe(false);
-    EXPECT_FALSE(forceScalarProbe());
-}
 
 } // namespace
 } // namespace proteus::simd

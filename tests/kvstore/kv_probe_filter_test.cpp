@@ -3,15 +3,16 @@
  * its correctness entirely on the transactional state/key words —
  * fingerprint collisions fall through to the key check, deliberately
  * corrupted hints (in the directions that keep lanes visible) only add
- * probes, and the scalar and group probes agree on a shared table.
+ * probes, and lookups on a churned, grown table agree with a
+ * std::unordered_map oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
-#include "common/simd.hpp"
 #include "kvstore/shard.hpp"
 
 namespace proteus::kvstore {
@@ -47,12 +48,6 @@ colliders(std::uint64_t seed, std::size_t slots, std::size_t count,
     }
     return keys;
 }
-
-/** RAII reset for the bench's runtime probe switch. */
-struct ScalarProbeGuard
-{
-    ~ScalarProbeGuard() { simd::setForceScalarProbe(false); }
-};
 
 TEST(KvProbeFilterTest, FingerprintCollisionFallsThroughToKeyCheck)
 {
@@ -142,33 +137,36 @@ TEST(KvProbeFilterTest, CorruptedHintsOnlyAddProbes)
     shard.deregisterWorker(token);
 }
 
-TEST(KvProbeFilterTest, ScalarAndGroupProbesAgree)
+TEST(KvProbeFilterTest, GroupProbeMatchesOracle)
 {
-    ScalarProbeGuard guard;
     Shard shard(smallShard(6));
     auto token = shard.registerWorker();
+    std::unordered_map<std::uint64_t, std::uint64_t> oracle;
 
     // Enough churn to force growth, tombstones, and long runs.
     constexpr std::uint64_t kKeys = 300;
-    for (std::uint64_t key = 0; key < kKeys; ++key)
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
         ASSERT_TRUE(shard.put(token, key, key + 1));
-    for (std::uint64_t key = 0; key < kKeys; key += 3)
+        oracle[key] = key + 1;
+    }
+    for (std::uint64_t key = 0; key < kKeys; key += 3) {
         ASSERT_TRUE(shard.del(token, key));
-    for (std::uint64_t key = 0; key < kKeys; key += 7)
+        oracle.erase(key);
+    }
+    for (std::uint64_t key = 0; key < kKeys; key += 7) {
         ASSERT_TRUE(shard.put(token, key, key + 2));
+        oracle[key] = key + 2;
+    }
+    ASSERT_GT(shard.capacity(), 64u); // the churn grew the table
 
     for (std::uint64_t key = 0; key < kKeys + 50; ++key) {
-        simd::setForceScalarProbe(false);
-        std::uint64_t group_value = 0;
-        const bool group_found =
-            shard.get(token, key, &group_value);
-        simd::setForceScalarProbe(true);
-        std::uint64_t scalar_value = 0;
-        const bool scalar_found =
-            shard.get(token, key, &scalar_value);
-        ASSERT_EQ(group_found, scalar_found) << key;
-        if (group_found)
-            ASSERT_EQ(group_value, scalar_value) << key;
+        std::uint64_t value = 0;
+        const bool found = shard.get(token, key, &value);
+        const auto it = oracle.find(key);
+        ASSERT_EQ(found, it != oracle.end()) << key;
+        if (found) {
+            ASSERT_EQ(value, it->second) << key;
+        }
     }
 
     shard.deregisterWorker(token);

@@ -1,15 +1,19 @@
 /**
  * Shard unit tests: open-addressing semantics (overwrite, tombstone
- * reuse, full-table behaviour), scans, and transactional composition
- * through the *Tx primitives.
+ * reuse, full-table behaviour), scans and TTL sweeps that wrap the
+ * table, the 16-slot minimum, and transactional composition through
+ * the *Tx primitives.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "kvstore/shard.hpp"
 
@@ -227,6 +231,130 @@ TEST(ShardTest, ScanCollectsLiveEntries)
     EXPECT_EQ(shard.scan(token, 0, 1000, &out), 40u);
 
     shard.deregisterWorker(token);
+}
+
+TEST(ShardTest, ScanFromEveryStartSeesEachLiveKeyOnce)
+{
+    // Pinned tables at ~2/3 load with every 3rd key deleted: long
+    // probe chains with tombstones in them. A full-capacity scan from
+    // any home slot wraps the table and must return each live key
+    // exactly once.
+    for (const unsigned log2_slots : {4u, 8u}) {
+        ShardOptions options = tinyShard(log2_slots);
+        options.maxLog2Slots = log2_slots;
+        Shard shard(options);
+        auto token = shard.registerWorker();
+        const std::size_t slots = shard.capacity();
+        const std::uint64_t keys = slots * 2 / 3; // below the grow load
+
+        std::vector<std::uint64_t> live;
+        for (std::uint64_t key = 0; key < keys; ++key)
+            ASSERT_TRUE(shard.put(token, key, key + 1));
+        for (std::uint64_t key = 0; key < keys; ++key) {
+            if (key % 3 == 0)
+                ASSERT_TRUE(shard.del(token, key));
+            else
+                live.push_back(key);
+        }
+        std::size_t tombstones = 0;
+        for (std::size_t slot = 0; slot < slots; ++slot)
+            tombstones += shard.ctrlByteQuiesced(slot) == kCtrlTombstone;
+        ASSERT_GT(tombstones, 0u) << "deletes left no tombstones";
+
+        // Start keys until every home slot has been a scan start.
+        std::vector<bool> started(slots, false);
+        std::size_t starts = 0;
+        for (std::uint64_t start = 0; starts < slots; ++start) {
+            const std::size_t home = Shard::keyHash(start) & (slots - 1);
+            if (started[home])
+                continue;
+            started[home] = true;
+            ++starts;
+            std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+            ASSERT_EQ(shard.scan(token, start, slots, &out), live.size())
+                << "log2 " << log2_slots << " start " << start;
+            std::vector<std::uint64_t> seen;
+            for (const auto &[key, value] : out) {
+                EXPECT_EQ(value, key + 1);
+                seen.push_back(key);
+            }
+            std::sort(seen.begin(), seen.end());
+            ASSERT_EQ(seen, live)
+                << "log2 " << log2_slots << " start " << start;
+        }
+
+        shard.deregisterWorker(token);
+    }
+}
+
+TEST(ShardTest, TtlSweepChunkWrapsTheTable)
+{
+    // 16 pinned slots, one sweep chunk wider than the table: each
+    // sweep visits all 16 slots from cursor % 16 on. The first sweep
+    // (tick 0, cursor 0) runs during the puts, before anything
+    // expires; the later ones start at slots 1, 2, 3 and reach slot 0
+    // only by wrapping past slot 15.
+    ShardOptions options = tinyShard(4);
+    options.maxLog2Slots = 4;
+    options.sweepChunkSlots = 17;
+    Shard shard(options);
+    auto token = shard.registerWorker();
+    const std::size_t slots = shard.capacity();
+    const auto home = [&](std::uint64_t key) {
+        return Shard::keyHash(key) & (slots - 1);
+    };
+    const auto keys_homed = [&](auto &&pred, std::size_t count) {
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t key = 0; keys.size() < count; ++key)
+            if (pred(home(key)))
+                keys.push_back(key);
+        return keys;
+    };
+
+    // TTL'd keys homed at 15 and 0 fill slots 15, 0, 1, 2; the
+    // others are homed at slots 4-8.
+    std::vector<std::uint64_t> ttl_keys =
+        keys_homed([](std::size_t h) { return h == 15; }, 2);
+    for (const std::uint64_t key :
+         keys_homed([](std::size_t h) { return h == 0; }, 2))
+        ttl_keys.push_back(key);
+    const std::vector<std::uint64_t> kept = keys_homed(
+        [](std::size_t h) { return h >= 4 && h <= 8; }, 4);
+
+    constexpr std::uint64_t kTtl = 30ull * 1000 * 1000; // 30 ms
+    for (const std::uint64_t key : ttl_keys)
+        ASSERT_TRUE(shard.put(token, key, key, kTtl));
+    for (const std::uint64_t key : kept)
+        ASSERT_TRUE(shard.put(token, key, key));
+    ASSERT_EQ(shard.findSlotQuiesced(ttl_keys[0]), 15u);
+    ASSERT_EQ(shard.findSlotQuiesced(ttl_keys[1]), 0u);
+
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    for (int i = 0; i < 200; ++i)
+        shard.maintainTick(token);
+
+    // Swept: the slots are tombstones now, not merely read as absent.
+    for (const std::uint64_t key : ttl_keys) {
+        EXPECT_EQ(shard.findSlotQuiesced(key), slots) << key;
+        EXPECT_FALSE(shard.get(token, key)) << key;
+    }
+    EXPECT_EQ(shard.ctrlByteQuiesced(15), kCtrlTombstone);
+    EXPECT_EQ(shard.ctrlByteQuiesced(0), kCtrlTombstone);
+    std::uint64_t value = 0;
+    for (const std::uint64_t key : kept) {
+        EXPECT_LT(shard.findSlotQuiesced(key), slots) << key;
+        ASSERT_TRUE(shard.get(token, key, &value)) << key;
+        EXPECT_EQ(value, key);
+    }
+
+    shard.deregisterWorker(token);
+}
+
+TEST(ShardTest, RejectsTablesBelowOneCtrlGroup)
+{
+    EXPECT_THROW(Shard{tinyShard(3)}, std::invalid_argument);
+    Shard shard(tinyShard(4));
+    EXPECT_EQ(shard.capacity(), 16u);
 }
 
 TEST(ShardTest, AddTxComposesReadModifyWrite)

@@ -71,6 +71,8 @@ TEST_F(WalTest, OptionsValidationRejectsBrokenConfigs)
     o = base;
     o.log2SlotsPerShard = 0;
     expect_invalid(o);
+    o.log2SlotsPerShard = 3; // below one 16-slot ctrl group
+    expect_invalid(o);
 
     o = base;
     o.log2SlotsPerShard = 31;
